@@ -5,9 +5,11 @@ driver-memory setup: ``spark.driver.memory`` is only honoured in
 import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-os.environ.setdefault("SPARK_DRIVER_MEM", "24g")
+from repro.sparkmem import driver_mem  # noqa: E402
+
+os.environ.setdefault("SPARK_DRIVER_MEM", driver_mem())
 os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",
     f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "

@@ -20,6 +20,19 @@ the array merge ``⊲`` becomes a full outer join with ``coalesce``
 Conditions are applied as soon as all their variables are in scope
 (filter pushup is semantics-preserving for pure predicates), which also
 lets the Section 3.6 ``inRange`` predicates land on the array scans.
+
+Materialization: plans are lazy and ``run_code`` chains them across
+statements, so an array read by several later statements would be
+recomputed at every read. ``optimize.mark_materialized`` decides at
+compile time which array assignments to compute once: the last
+assignment to an array in a ``while`` body (its value is loop-carried),
+and an assignment that reads state in bulk and whose value the
+following code reads at least twice (a read inside a ``while`` counts
+twice). ``run_code`` runs exactly the marked assignments through
+``localCheckpoint(eager=True)`` where they are assigned, so the reads
+that follow, in the same iteration or after it, scan the stored value.
+The checkpoint also cuts the lineage, which would otherwise grow by one
+plan per iteration; there is no separate end-of-iteration checkpoint.
 """
 from __future__ import annotations
 
@@ -550,12 +563,20 @@ def compile_comp(comp: Comp, env: dict, spark: SparkSession):
                 agg_map[id(a)] = nm
                 c = _agg_col(a.monoid, to_col(a.expr, env, None))
                 ident = _IDENTITY.get(a.monoid)
-                if isinstance(ident, Const) and ident.value is not None:
+                if isinstance(ident, Const) and _needs_identity(ident.value):
                     c = F.coalesce(c, F.lit(ident.value))
                 agg_exprs.append(c.alias(nm))
             fr.df = fr.df.agg(*agg_exprs)
 
     return ("df", fr.df, comp.head, agg_map)
+
+
+def _needs_identity(v) -> bool:
+    """Whether a monoid identity must replace NULL (a missing key or an
+    empty aggregate). The ``±inf`` of ``min``/``max`` need not: their
+    only consumers are ``least``/``greatest``, which ignore NULLs, and a
+    float literal would widen a ``long`` column to ``double``."""
+    return v is not None and not (isinstance(v, float) and math.isinf(v))
 
 
 def _outer_lookup(fr: _Frontier, q: OuterLookup, env: dict, agg_map: dict):
@@ -575,7 +596,7 @@ def _outer_lookup(fr: _Frontier, q: OuterLookup, env: dict, agg_map: dict):
         on = c if on is None else (on & c)
     df = fr.df.join(adf, on=on, how="left")
     default = q.default.value if isinstance(q.default, Const) else None
-    if default is None:
+    if not _needs_identity(default):
         df = df.withColumn(q.var, F.col(vname))
     else:
         df = df.withColumn(q.var, F.coalesce(F.col(vname), F.lit(default)))
@@ -659,6 +680,10 @@ def eval_scalar(term, env, spark):
         out = df.select(to_col(head, env, agg_map).alias("_v")).collect()
         if not out:
             return False, None
+        if len(out) > 1:
+            raise BackendError(
+                f"scalar comprehension yields several rows: {show(term)}"
+            )
         v = out[0]["_v"]
         if hasattr(v, "asDict"):  # Row (struct value) → tuple
             v = tuple(v)
@@ -675,7 +700,10 @@ def run_code(code, env: dict, spark: SparkSession, types: dict) -> dict:
         elif isinstance(st, TAssign):
             t = types.get(st.name)
             if isinstance(t, A.TArray):
-                env[st.name] = eval_bag_to_array(st.term, env, spark, t.ndims)
+                df = eval_bag_to_array(st.term, env, spark, t.ndims)
+                if st.materialize and isinstance(df, DataFrame):
+                    df = df.localCheckpoint(eager=True)
+                env[st.name] = df
             else:
                 present, v = eval_scalar(st.term, env, spark)
                 if present:
@@ -686,22 +714,6 @@ def run_code(code, env: dict, spark: SparkSession, types: dict) -> dict:
                 if not present or not c:
                     break
                 run_code(st.body, env, spark, types)
-                # truncate lineage of arrays updated inside the loop
-                for s in _assigned_arrays(st.body, types):
-                    if isinstance(env.get(s), DataFrame):
-                        env[s] = env[s].localCheckpoint(eager=True)
         else:
             raise BackendError(f"unknown target statement {st!r}")
     return env
-
-
-def _assigned_arrays(code, types) -> set:
-    out = set()
-    for st in code:
-        if isinstance(st, (TAssign, TInit)) and isinstance(
-            types.get(st.name), A.TArray
-        ):
-            out.add(st.name)
-        elif isinstance(st, TWhile):
-            out |= _assigned_arrays(st.body, types)
-    return out

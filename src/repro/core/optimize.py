@@ -12,8 +12,12 @@
   variables are exactly the index variables of the single generator
   before the group-by — is removed and each ``⊕/e`` reduction is
   replaced by ``e`` itself (every group is a singleton).
+* **Materialization marks** (last step, over whole target code): see
+  ``mark_materialized``.
 """
 from __future__ import annotations
+
+import dataclasses
 
 from .comprehension import (
     Agg,
@@ -322,6 +326,12 @@ def _opt_qual(q):
 
 
 def optimize_code(code):
+    """Optimize every term of target code, then mark the array
+    assignments worth materializing."""
+    return mark_materialized(_optimize_stmts(code))
+
+
+def _optimize_stmts(code):
     from .translate import TAssign, TInit, TWhile
 
     out = []
@@ -329,9 +339,97 @@ def optimize_code(code):
         if isinstance(st, TAssign):
             out.append(TAssign(st.name, optimize_term(st.term)))
         elif isinstance(st, TWhile):
-            out.append(TWhile(optimize_term(st.cond), optimize_code(st.body)))
+            out.append(TWhile(optimize_term(st.cond), _optimize_stmts(st.body)))
         elif isinstance(st, TInit):
             out.append(st)
         else:
             raise TypeError(f"unknown target statement {st!r}")
+    return out
+
+
+# ------------------------------------------------------ materialization
+def _nodes(x):
+    """Every IR node reachable from ``x`` (terms, qualifiers, patterns)."""
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        yield x
+        for f in dataclasses.fields(x):
+            yield from _nodes(getattr(x, f.name))
+    elif isinstance(x, tuple):
+        for y in x:
+            yield from _nodes(y)
+
+
+def _reads(t, name: str) -> int:
+    """Reads of state array ``name`` in a term: scans and outer lookups."""
+    return sum(
+        1
+        for n in _nodes(t)
+        if (isinstance(n, StateRef) and n.name == name)
+        or (isinstance(n, OuterLookup) and n.array == name)
+    )
+
+
+def _scans_state(t) -> bool:
+    """Does the term read program state in bulk (an array generator or
+    an outer lookup)? A term over ``range`` generators only is cheaper
+    to recompute than to materialize."""
+    return any(
+        (isinstance(n, Generator) and isinstance(n.source, StateRef))
+        or isinstance(n, OuterLookup)
+        for n in _nodes(t)
+    )
+
+
+def _later_reads(code, name: str):
+    """Reads of the current value of ``name`` in ``code``, up to its
+    redefinition. A read inside a ``while`` counts twice, unless the
+    loop redefines ``name`` (then only its first iteration reads this
+    value). Returns ``(reads, redefined)``."""
+    from .translate import TAssign, TWhile
+
+    n = 0
+    for st in code:
+        if isinstance(st, TWhile):
+            body, redefined = _later_reads(st.body, name)
+            n += (1 if redefined else 2) * (_reads(st.cond, name) + body)
+            if redefined:
+                return n, True
+            continue
+        if isinstance(st, TAssign):  # its term reads the old value
+            n += _reads(st.term, name)
+        if st.name == name:  # assigned or re-initialized
+            return n, True
+    return n, False
+
+
+def mark_materialized(code, in_loop: bool = False):
+    """Set ``materialize`` on the array assignments ``X := t`` whose
+    value should be computed once, where it is assigned:
+
+    1. the last assignment to ``X`` in a ``while`` body: its value is
+       loop-carried, so materializing it truncates the lineage each
+       iteration and later statements of the iteration read it for free;
+    2. ``t`` reads state in bulk (``_scans_state``) and the code after
+       it reads this value of ``X`` at least twice (``_later_reads``).
+
+    Array assignments are the merges ``X := X ⊲ …`` of rule 14c.
+    """
+    from .translate import TAssign, TWhile
+
+    last = {}
+    if in_loop:
+        for i, st in enumerate(code):
+            if isinstance(st, TAssign):
+                last[st.name] = i
+    out = []
+    for i, st in enumerate(code):
+        if isinstance(st, TWhile):
+            st = TWhile(st.cond, mark_materialized(st.body, True))
+        elif isinstance(st, TAssign) and isinstance(st.term, Merge):
+            mark = last.get(st.name) == i or (
+                _scans_state(st.term)
+                and _later_reads(code[i + 1:], st.name)[0] >= 2
+            )
+            st = dataclasses.replace(st, materialize=mark)
+        out.append(st)
     return out

@@ -3,7 +3,8 @@ optimize → execute on Spark.
 
 ``compile_program`` is the compile-time half (what Table 1 measures);
 ``run_program`` executes the compiled target code over a state
-environment holding input arrays (DataFrames) and scalars.
+environment holding input arrays (DataFrames) and scalars;
+``show_code`` renders compiled target code as text.
 """
 from __future__ import annotations
 
@@ -13,11 +14,12 @@ from pyspark.sql import SparkSession
 
 from . import ast as A
 from .backend import run_code
+from .comprehension import show
 from .normalize import normalize_code
 from .optimize import optimize_code
 from .parser import parse
 from .restrictions import check_program
-from .translate import translate_program
+from .translate import TAssign, TInit, TWhile, translate_program
 
 
 @dataclass
@@ -60,3 +62,20 @@ def run_program(
 
 def compile_and_run(src: str, env: dict, spark: SparkSession, extern_types=None):
     return run_program(compile_program(src, extern_types), env, spark)
+
+
+def show_code(code, indent: str = "") -> str:
+    """Target code as text, one statement per line and a loop body
+    indented under its ``while``. Assignments the Spark backend
+    materializes end in ``[materialize]``."""
+    lines = []
+    for st in code:
+        if isinstance(st, TInit):
+            lines.append(f"{indent}init {st.name}: {st.type!r}")
+        elif isinstance(st, TAssign):
+            mark = "  [materialize]" if st.materialize else ""
+            lines.append(f"{indent}{st.name} := {show(st.term)}{mark}")
+        elif isinstance(st, TWhile):
+            lines.append(f"{indent}while {show(st.cond)}")
+            lines.append(show_code(st.body, indent + "  "))
+    return "\n".join(lines)

@@ -63,10 +63,16 @@ class TInit:
 
 @dataclass
 class TAssign:
-    """``V := e`` where ``e`` is a bag-valued comprehension term."""
+    """``V := e`` where ``e`` is a bag-valued comprehension term.
+
+    ``materialize`` is set by ``optimize.mark_materialized``: the Spark
+    backend computes a marked array once, where it is assigned, instead
+    of recomputing it at every later read. Sequential engines ignore it.
+    """
 
     name: str
     term: object
+    materialize: bool = False
 
 
 @dataclass

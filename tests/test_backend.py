@@ -237,3 +237,50 @@ def test_constant_index_increment_missing_key(spark):
 def test_scalar_pure_increment(spark):
     _, env = run(spark, "var k: long = 5; k += 2;", {}, {})
     assert env["k"] == 7
+
+
+def test_min_max_keep_long_type_on_all_engines(spark):
+    import pyspark.sql.types as T
+
+    from repro.core.interp import interpret
+    from repro.core.seq_backend import run_program_seq
+
+    src = """
+    var R: vector[long] = vector();
+    var X: vector[long] = vector();
+    var m: long = 100;
+    var x: long = 0;
+    for i = 0, 3 do {
+      R[i % 2] min= V[i];
+      m min= V[i];
+      X[i % 2] max= V[i];
+      x max= V[i];
+    };
+    """
+    data = {"V": {0: 7, 1: 3, 2: 5, 3: 9}}
+    comp, env = run(spark, src, data, {"V": VEC_L})
+    seq = run_program_seq(comp, data)
+    lit = interpret(src, data)
+    want = {"R": {0: 5, 1: 3}, "X": {0: 7, 1: 9}, "m": 3, "x": 9}
+    for name in ("R", "X"):
+        assert env[name].schema["_v"].dataType == T.LongType(), name
+        assert df_to_dict(env[name], 1) == want[name]
+        for engine in (seq, lit):
+            assert engine[name] == want[name]
+            assert all(type(v) is int for v in engine[name].values())
+    for name in ("m", "x"):
+        for engine in (env, seq, lit):
+            assert engine[name] == want[name] and type(engine[name]) is int
+
+
+def test_scalar_comprehension_with_several_rows_raises(spark):
+    from repro.core.backend import BackendError, run_code
+    from repro.core.comprehension import Comp, Generator, PTuple, PVar, StateRef, Var
+    from repro.core.translate import TAssign
+
+    code = [TAssign("x", Comp(
+        Var("v"), (Generator(PTuple((PVar("i"), PVar("v"))), StateRef("V")),)
+    ))]
+    env = {"V": dict_to_df(spark, {0: 1.0, 1: 2.0}, VEC_D)}
+    with pytest.raises(BackendError, match="several rows"):
+        run_code(code, env, spark, {"x": A.TBasic("double"), "V": VEC_D})

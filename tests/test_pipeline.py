@@ -49,3 +49,22 @@ def test_all_paper_negative_examples_rejected():
     ]:
         with pytest.raises(RestrictionError):
             compile_program(src)
+
+
+def test_show_code_marks_materialized_assignments():
+    from repro.core.pipeline import show_code
+
+    src = """
+    var S: vector[double] = vector();
+    var s: double = 0.0;
+    var k: long = 0;
+    for i = 0, 3 do S[i] += V[i];
+    while (k < 2) { k += 1; s += S[0]; };
+    """
+    text = show_code(compile_program(src, {"V": A.TArray(1, A.TBasic("double"))}).code)
+    lines = text.splitlines()
+    assert lines[0].startswith("init S: ")
+    marked = [ln for ln in lines if ln.endswith("[materialize]")]
+    assert len(marked) == 1 and marked[0].startswith("S := ($S <| {")
+    loop = lines.index(next(ln for ln in lines if ln.startswith("while ")))
+    assert lines[loop + 1].startswith("  k := ")  # body indented
