@@ -15,7 +15,10 @@ become equi-join predicates, ``group by`` becomes ``groupBy().agg()``
 with one aggregate per ``⊕/e`` reduction, the outer lookup of rule
 (15a) becomes a left join + ``coalesce`` with the monoid identity, and
 the array merge ``⊲`` becomes a full outer join with ``coalesce``
-(paper: "on Spark, ⊲ can be implemented as a coGroup").
+(paper: "on Spark, ⊲ can be implemented as a coGroup"). The optimizer
+emits neither ``⊲`` nor the outer lookup for an array still empty from
+its ``TInit`` (fresh-target elimination), so such an assignment is the
+comprehension's plan alone, its columns widened to the declared types.
 
 Conditions are applied as soon as all their variables are in scope
 (filter pushup is semantics-preserving for pure predicates), which also
@@ -94,13 +97,18 @@ def spark_type(t) -> T.DataType:
     raise BackendError(f"no spark type for {t!r}")
 
 
-def empty_array(spark: SparkSession, t: A.TArray) -> DataFrame:
+def array_schema(t: A.TArray) -> T.StructType:
+    """Schema ``(_k1, …, _kn, _v)`` of an array DataFrame."""
     fields = [
         T.StructField(f"_k{i + 1}", spark_type(t.key if i == 0 and t.ndims == 1 else A.TBasic("long")))
         for i in range(t.ndims)
     ]
     fields.append(T.StructField("_v", spark_type(t.elem)))
-    return spark.createDataFrame([], T.StructType(fields))
+    return T.StructType(fields)
+
+
+def empty_array(spark: SparkSession, t: A.TArray) -> DataFrame:
+    return spark.createDataFrame([], array_schema(t))
 
 
 # ----------------------------------------------------- column compiler
@@ -649,6 +657,18 @@ def eval_bag_to_array(term, env, spark, ndims: int) -> DataFrame:
     return df.select(*cols)
 
 
+def _widen_to_declared(df: DataFrame, t: A.TArray) -> DataFrame:
+    """Widen each column to the common type of its own and the declared
+    one, as a merge into the typed empty array does: the ``0`` of
+    ``V[i] := 0`` into a ``vector[long]`` becomes a long, a double
+    stays a double. ``coalesce`` with a typed NULL is that coercion;
+    the optimizer drops the NULL and keeps only the cast."""
+    return df.select(*[
+        F.coalesce(F.col(c), F.lit(None).cast(f.dataType)).alias(c)
+        for c, f in zip(df.columns, array_schema(t).fields)
+    ])
+
+
 def merge_arrays(old: DataFrame, new: DataFrame, ndims: int) -> DataFrame:
     """``old ⊲ new``: union preferring ``new`` on key collisions."""
     nnames = [f"_n{j}" for j in range(ndims)] + ["_nv"]
@@ -701,7 +721,11 @@ def run_code(code, env: dict, spark: SparkSession, types: dict) -> dict:
             t = types.get(st.name)
             if isinstance(t, A.TArray):
                 df = eval_bag_to_array(st.term, env, spark, t.ndims)
-                if st.materialize and isinstance(df, DataFrame):
+                if df is None:  # X := ∅
+                    df = empty_array(spark, t)
+                elif not isinstance(st.term, Merge):
+                    df = _widen_to_declared(df, t)
+                if st.materialize:
                     df = df.localCheckpoint(eager=True)
                 env[st.name] = df
             else:

@@ -6,8 +6,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, Row, SparkSession
 
 from . import ast as A
-from .backend import spark_type
-from pyspark.sql import types as T
+from .backend import array_schema
 
 
 def _canon_value(v):
@@ -32,17 +31,11 @@ def df_to_dict(df: DataFrame, ndims: int) -> dict:
 
 def dict_to_df(spark: SparkSession, d: dict, arr_type: A.TArray) -> DataFrame:
     """Python dict → array DataFrame with the canonical schema."""
-    fields = []
-    for i in range(arr_type.ndims):
-        kt = arr_type.key if (i == 0 and arr_type.ndims == 1) else A.TBasic("long")
-        fields.append(T.StructField(f"_k{i + 1}", spark_type(kt)))
-    fields.append(T.StructField("_v", spark_type(arr_type.elem)))
-    schema = T.StructType(fields)
     rows = []
     for k, v in d.items():
         key = k if isinstance(k, tuple) else (k,)
         rows.append(tuple(key) + (v,))
-    return spark.createDataFrame(rows, schema)
+    return spark.createDataFrame(rows, array_schema(arr_type))
 
 
 def pdf_to_array_df(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:

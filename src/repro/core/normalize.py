@@ -43,7 +43,7 @@ _FOLD = {
     "+": lambda a, b: a + b,
     "-": lambda a, b: a - b,
     "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b if isinstance(a, float) or isinstance(b, float) else a // b,
+    "/": lambda a, b: a / b,
     "%": lambda a, b: a % b,
     "==": lambda a, b: a == b,
     "!=": lambda a, b: a != b,

@@ -12,12 +12,22 @@
   variables are exactly the index variables of the single generator
   before the group-by — is removed and each ``⊕/e`` reduction is
   replaced by ``e`` itself (every group is a singleton).
+* **Key self-join elimination**: a second generator over the same
+  array, joined to an earlier one on its whole key before any
+  group-by, reads the same row (array keys are unique); it is dropped
+  and its variables are replaced by the earlier generator's.
+* **Fresh-target elimination** (over whole target code): while an
+  array is still empty from its ``TInit``, ``X := X ⊲ B`` becomes
+  ``X := B`` and an outer lookup ``w <~ $X[k] ?? d`` becomes ``d``,
+  which the monoid identity law ``d ⊕ e → e`` folds away. See
+  ``eliminate_fresh_targets``.
 * **Materialization marks** (last step, over whole target code): see
   ``mark_materialized``.
 """
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 from .comprehension import (
     Agg,
@@ -45,15 +55,7 @@ from .comprehension import (
     subst,
 )
 from .normalize import norm_term
-
-
-def _array_index_vars(q: Generator):
-    """Index variable names of a flat array-generator pattern
-    ``(i1, …, in, v)`` (None if not an array traversal)."""
-    if isinstance(q.source, StateRef) and isinstance(q.pat, PTuple):
-        names = pat_vars(q.pat)
-        return names[:-1]
-    return None
+from .translate import _IDENTITY, TAssign, TInit, TWhile
 
 
 def _solve_for(var: str, eq: BinOp):
@@ -139,6 +141,57 @@ def _subst_qual(q, env):
     raise TypeError(f"unknown qualifier {q!r}")
 
 
+def _flat_array_gen(q):
+    """``(key_vars, value_var)`` of a generator ``(i1, …, in, v) <- $A``
+    whose pattern is flat, else None."""
+    if not (isinstance(q, Generator) and isinstance(q.source, StateRef)
+            and isinstance(q.pat, PTuple)
+            and all(isinstance(p, PVar) for p in q.pat.items)):
+        return None
+    names = pat_vars(q.pat)
+    return names[:-1], names[-1]
+
+
+def _equates(q, a: str, b: str) -> bool:
+    return (isinstance(q, Cond) and isinstance(q.expr, BinOp)
+            and q.expr.op == "=="
+            and {q.expr.left, q.expr.right} == {Var(a), Var(b)})
+
+
+def _eliminate_self_joins(c: Comp) -> Comp:
+    """Key self-join elimination: a generator ``(j1..jn, u) <- $A``
+    whose whole key is equated (``jk == ik``, before any group-by) with
+    an earlier generator ``(i1..in, v) <- $A`` reads the same row,
+    because array keys are unique. Drop it and its key conditions and
+    substitute ``jk := ik``, ``u := v``."""
+    quals, head = list(c.quals), c.head
+    changed = True
+    while changed:
+        changed = False
+        end = next((i for i, q in enumerate(quals) if isinstance(q, GroupByQ)),
+                   len(quals))
+        for gi, hi in itertools.combinations(range(end), 2):
+            g, h = _flat_array_gen(quals[gi]), _flat_array_gen(quals[hi])
+            if (g is None or h is None or quals[gi].source != quals[hi].source
+                    or len(g[0]) != len(h[0])):
+                continue
+            conds = [
+                next((ci for ci in range(end) if _equates(quals[ci], i, j)), None)
+                for i, j in zip(g[0], h[0])
+            ]
+            if None in conds:
+                continue
+            env = {j: Var(i) for i, j in zip(g[0], h[0])}
+            env[h[1]] = Var(g[1])
+            drop = {hi, *conds}
+            quals = [_subst_qual(q, env) for k, q in enumerate(quals)
+                     if k not in drop]
+            head = subst(head, env)
+            changed = True
+            break
+    return Comp(head, tuple(quals))
+
+
 def _replace_aggs(t):
     """Rule 17 helper: ``⊕/e → e`` (groups are singletons)."""
     if isinstance(t, Agg):
@@ -188,7 +241,8 @@ def _groupby_rules(c: Comp) -> Comp:
             if isinstance(g.source, RangeT) and isinstance(g.pat, PVar):
                 idx = [g.pat.name]
             else:
-                idx = _array_index_vars(g)
+                flat = _flat_array_gen(g)
+                idx = flat[0] if flat else None
             key_vars = (
                 [x.name for x in q.key.items if isinstance(x, Var)]
                 if isinstance(q.key, TupleT)
@@ -222,17 +276,6 @@ def _map_qual_aggs(q):
     return q
 
 
-# identity constants for tuple-monoid expansion
-_SCALAR_IDENT = {
-    "+": Const(0),
-    "*": Const(1),
-    "min": Const(float("inf")),
-    "max": Const(float("-inf")),
-    "&&": Const(True),
-    "||": Const(False),
-}
-
-
 def _expand_tuple_monoids(c: Comp) -> Comp:
     """Rewrite tuple-valued reductions into per-component scalar ones.
 
@@ -245,7 +288,7 @@ def _expand_tuple_monoids(c: Comp) -> Comp:
     tuple-typed and is left alone."""
 
     def rewrite(t, lookups):
-        if isinstance(t, BinOp) and t.op in _SCALAR_IDENT:
+        if isinstance(t, BinOp) and t.op in _IDENTITY and t.op != "argmin":
             rhs = t.right
             items = None
             if isinstance(rhs, Agg) and rhs.monoid == t.op and isinstance(rhs.expr, TupleT):
@@ -254,7 +297,7 @@ def _expand_tuple_monoids(c: Comp) -> Comp:
                 items = list(rhs.items)
             if items is not None:
                 w = t.left
-                ident = _SCALAR_IDENT[t.op]
+                ident = _IDENTITY[t.op]
                 if isinstance(w, Var):
                     lookups.add(w.name)
                 return TupleT(tuple(
@@ -291,6 +334,7 @@ def optimize_term(t):
             tuple(_opt_qual(q) for q in t.quals),
         )
         t = _eliminate_ranges(t)
+        t = _eliminate_self_joins(t)
         t = _groupby_rules(t)
         t = _expand_tuple_monoids(t)
         return norm_term(t)
@@ -326,14 +370,13 @@ def _opt_qual(q):
 
 
 def optimize_code(code):
-    """Optimize every term of target code, then mark the array
-    assignments worth materializing."""
-    return mark_materialized(_optimize_stmts(code))
+    """Optimize every term of target code, drop the merges into and
+    lookups in arrays still empty from their ``TInit``, then mark the
+    array assignments worth materializing."""
+    return mark_materialized(eliminate_fresh_targets(_optimize_stmts(code)))
 
 
 def _optimize_stmts(code):
-    from .translate import TAssign, TInit, TWhile
-
     out = []
     for st in code:
         if isinstance(st, TAssign):
@@ -344,6 +387,81 @@ def _optimize_stmts(code):
             out.append(st)
         else:
             raise TypeError(f"unknown target statement {st!r}")
+    return out
+
+
+def _statements(code):
+    """Every statement of ``code``, loop bodies included."""
+    for st in code:
+        yield st
+        if isinstance(st, TWhile):
+            yield from _statements(st.body)
+
+
+# ------------------------------------------------ fresh-target elimination
+def _is_identity(t, op: str) -> bool:
+    """Is ``t`` the identity of ``op``? Also matches the tuple-expanded
+    pre-update value ``coalesce(NULL._i, identity)`` of a dropped lookup."""
+    if isinstance(t, Call) and t.fn == "coalesce" and len(t.args) == 2:
+        null = t.args[0]
+        while isinstance(null, Proj):
+            null = null.expr
+        return null == Const(None) and _is_identity(t.args[1], op)
+    ident = _IDENTITY[op].value
+    return (isinstance(t, Const) and type(t.value) is type(ident)
+            and t.value == ident)
+
+
+def _fold_identities(t):
+    """The monoid identity law ``d ⊕ e → e``."""
+    if isinstance(t, BinOp):
+        left, right = _fold_identities(t.left), _fold_identities(t.right)
+        if t.op in _IDENTITY and _is_identity(left, t.op):
+            return right
+        return BinOp(t.op, left, right)
+    if isinstance(t, TupleT):
+        return TupleT(tuple(_fold_identities(x) for x in t.items))
+    return t
+
+
+def _drop_fresh(term, fresh: set):
+    """Rewrite one assigned term for the arrays in ``fresh``, which are
+    empty: ``X ⊲ B → B``, and an outer lookup ``w <~ $X[k] ?? d`` binds
+    ``w`` to ``d``, which the identity law then folds away."""
+    if (isinstance(term, Merge) and isinstance(term.old, StateRef)
+            and term.old.name in fresh):
+        term = term.new
+    if not isinstance(term, Comp):
+        return term
+    env = {q.var: q.default for q in term.quals
+           if isinstance(q, OuterLookup) and q.array in fresh}
+    if not env:
+        return term
+    quals = tuple(q for q in term.quals if not (
+        isinstance(q, OuterLookup) and q.var in env))
+    c = subst(Comp(term.head, quals), env)
+    return norm_term(Comp(_fold_identities(c.head), c.quals))
+
+
+def eliminate_fresh_targets(code):
+    """Fresh-target elimination over target code. An array is fresh
+    from its ``TInit`` up to its first assignment, which is rewritten by
+    ``_drop_fresh``. A ``while`` body starts with no fresh array, since
+    its later iterations see what the earlier ones assigned, and after
+    the loop no array the body assigns is fresh."""
+    fresh: set = set()
+    out = []
+    for st in code:
+        if isinstance(st, TInit):
+            fresh.add(st.name)
+        elif isinstance(st, TAssign):
+            st = TAssign(st.name, _drop_fresh(st.term, fresh))
+            fresh.discard(st.name)
+        elif isinstance(st, TWhile):
+            st = TWhile(st.cond, eliminate_fresh_targets(st.body))
+            fresh -= {s.name for s in _statements(st.body)
+                      if isinstance(s, TAssign)}
+        out.append(st)
     return out
 
 
@@ -385,8 +503,6 @@ def _later_reads(code, name: str):
     redefinition. A read inside a ``while`` counts twice, unless the
     loop redefines ``name`` (then only its first iteration reads this
     value). Returns ``(reads, redefined)``."""
-    from .translate import TAssign, TWhile
-
     n = 0
     for st in code:
         if isinstance(st, TWhile):
@@ -402,7 +518,7 @@ def _later_reads(code, name: str):
     return n, False
 
 
-def mark_materialized(code, in_loop: bool = False):
+def mark_materialized(code):
     """Set ``materialize`` on the array assignments ``X := t`` whose
     value should be computed once, where it is assigned:
 
@@ -412,10 +528,19 @@ def mark_materialized(code, in_loop: bool = False):
     2. ``t`` reads state in bulk (``_scans_state``) and the code after
        it reads this value of ``X`` at least twice (``_later_reads``).
 
-    Array assignments are the merges ``X := X ⊲ …`` of rule 14c.
+    Arrays are found by name: those with a ``TInit``, and the targets
+    of merges ``X := X ⊲ …`` (rule 14c), since fresh-target
+    elimination leaves a plain term in an array's first assignment.
     """
-    from .translate import TAssign, TWhile
+    arrays = {
+        st.name for st in _statements(code)
+        if isinstance(st, TInit)
+        or (isinstance(st, TAssign) and isinstance(st.term, Merge))
+    }
+    return _mark(code, arrays, in_loop=False)
 
+
+def _mark(code, arrays: set, in_loop: bool):
     last = {}
     if in_loop:
         for i, st in enumerate(code):
@@ -424,8 +549,8 @@ def mark_materialized(code, in_loop: bool = False):
     out = []
     for i, st in enumerate(code):
         if isinstance(st, TWhile):
-            st = TWhile(st.cond, mark_materialized(st.body, True))
-        elif isinstance(st, TAssign) and isinstance(st.term, Merge):
+            st = TWhile(st.cond, _mark(st.body, arrays, in_loop=True))
+        elif isinstance(st, TAssign) and st.name in arrays:
             mark = last.get(st.name) == i or (
                 _scans_state(st.term)
                 and _later_reads(code[i + 1:], st.name)[0] >= 2

@@ -38,17 +38,9 @@ from .comprehension import (
     pat_vars,
     show,
 )
-from .translate import TAssign, TInit, TWhile
+from .translate import _IDENTITY, TAssign, TInit, TWhile
 
-_IDENT = {
-    "+": 0,
-    "*": 1,
-    "min": float("inf"),
-    "max": float("-inf"),
-    "&&": True,
-    "||": False,
-    "argmin": None,
-}
+_IDENT = {m: c.value for m, c in _IDENTITY.items()}
 
 
 def _argmin(a, b):
@@ -456,7 +448,7 @@ def _bag_to_dict(term, env, ndims: int):
     if isinstance(term, Merge):
         old = env[term.old.name]
         new = _bag_to_dict(term.new, env, ndims)
-        if new is None:
+        if not new:  # V ⊲ ∅ = V
             return old
         merged = dict(old)
         merged.update(new)
@@ -465,7 +457,7 @@ def _bag_to_dict(term, env, ndims: int):
         return env[term.name]
     res = eval_comp(term, env)
     if res[0] == "empty":
-        return None
+        return {}
     if res[0] == "scalar":
         v = res[1]
         key = v[:-1]

@@ -21,6 +21,16 @@ def run(spark, src, env, types):
     return comp, run_program(comp, sp_env, spark)
 
 
+def _three_engines(spark, src, data, types):
+    """Final environments of Spark, the sequential backend and the
+    literal interpreter for one program."""
+    from repro.core.interp import interpret
+    from repro.core.seq_backend import run_program_seq
+
+    comp, env = run(spark, src, data, types)
+    return comp, env, run_program_seq(comp, data), interpret(src, data)
+
+
 def test_spark_type_mapping():
     import pyspark.sql.types as T
 
@@ -242,12 +252,14 @@ def test_scalar_pure_increment(spark):
 def test_min_max_keep_long_type_on_all_engines(spark):
     import pyspark.sql.types as T
 
-    from repro.core.interp import interpret
-    from repro.core.seq_backend import run_program_seq
-
+    # R and X group by a key; U (unique key) and Z lose their merge and
+    # lookup as fresh targets, so nothing widens them to long but the
+    # backend
     src = """
     var R: vector[long] = vector();
     var X: vector[long] = vector();
+    var U: vector[long] = vector();
+    var Z: vector[long] = vector();
     var m: long = 100;
     var x: long = 0;
     for i = 0, 3 do {
@@ -255,14 +267,15 @@ def test_min_max_keep_long_type_on_all_engines(spark):
       m min= V[i];
       X[i % 2] max= V[i];
       x max= V[i];
+      U[i] min= V[i];
+      Z[i] := 0;
     };
     """
     data = {"V": {0: 7, 1: 3, 2: 5, 3: 9}}
-    comp, env = run(spark, src, data, {"V": VEC_L})
-    seq = run_program_seq(comp, data)
-    lit = interpret(src, data)
-    want = {"R": {0: 5, 1: 3}, "X": {0: 7, 1: 9}, "m": 3, "x": 9}
-    for name in ("R", "X"):
+    _, env, seq, lit = _three_engines(spark, src, data, {"V": VEC_L})
+    want = {"R": {0: 5, 1: 3}, "X": {0: 7, 1: 9}, "U": data["V"],
+            "Z": {i: 0 for i in range(4)}, "m": 3, "x": 9}
+    for name in ("R", "X", "U", "Z"):
         assert env[name].schema["_v"].dataType == T.LongType(), name
         assert df_to_dict(env[name], 1) == want[name]
         for engine in (seq, lit):
@@ -284,3 +297,40 @@ def test_scalar_comprehension_with_several_rows_raises(spark):
     env = {"V": dict_to_df(spark, {0: 1.0, 1: 2.0}, VEC_D)}
     with pytest.raises(BackendError, match="several rows"):
         run_code(code, env, spark, {"x": A.TBasic("double"), "V": VEC_D})
+
+
+def test_fresh_constant_key_increment_over_empty_input(spark):
+    # the group-by over the constant key 0 stays: a total aggregate
+    # would make one row out of an empty V
+    src = "var R: vector[double] = vector(); for v in V do R[0] += v;"
+    _, env, seq, lit = _three_engines(spark, src, {"V": {}}, {"V": VEC_D})
+    assert df_to_dict(env["R"], 1) == seq["R"] == lit["R"] == {}
+    _, env, seq, lit = _three_engines(
+        spark, src, {"V": {0: 1.5, 1: 2.0}}, {"V": VEC_D}
+    )
+    assert df_to_dict(env["R"], 1) == seq["R"] == lit["R"] == {0: 3.5}
+
+
+def test_array_declared_before_loop_accumulates(spark):
+    # R is empty only before the first iteration: the second must add
+    # to what the first assigned
+    src = """
+    var R: vector[double] = vector();
+    var k: long = 0;
+    while (k < 2) {
+      k += 1;
+      for i = 0, 2 do R[i] += V[i];
+    };
+    """
+    data = {"V": {0: 1.0, 1: 2.0, 2: 3.0}}
+    _, env, seq, lit = _three_engines(spark, src, data, {"V": VEC_D})
+    want = {0: 2.0, 1: 4.0, 2: 6.0}
+    assert df_to_dict(env["R"], 1) == seq["R"] == lit["R"] == want
+
+
+def test_constant_division_is_true_division(spark):
+    src = "var x: double = 0.0; var y: double = 0.0; var n: long = 7;" \
+          " x := 7 / 2; y := n / 2;"
+    _, env, seq, lit = _three_engines(spark, src, {}, {})
+    for engine in (env, seq, lit):
+        assert engine["x"] == engine["y"] == 3.5

@@ -4,23 +4,22 @@ the lineage of loop-carried arrays every iteration."""
 import pytest
 
 from repro.core import ast as A
-from repro.core.comprehension import Merge
 from repro.core.convert import approx_dict_equal, df_to_dict
 from repro.core.interp import interpret
+from repro.core.optimize import _statements
 from repro.core.pipeline import compile_program, run_program
-from repro.core.translate import TAssign, TWhile
+from repro.core.translate import TAssign
 from repro.programs.suite import BY_NAME, build_envs
 
 
-def _array_assigns(code):
-    """``(name, materialize)`` of every array assignment, in order."""
-    out = []
-    for st in code:
-        if isinstance(st, TWhile):
-            out.extend(_array_assigns(st.body))
-        elif isinstance(st, TAssign) and isinstance(st.term, Merge):
-            out.append((st.name, st.materialize))
-    return out
+def _array_assigns(compiled):
+    """``(name, materialize)`` of every assignment to a declared array,
+    in order."""
+    return [
+        (st.name, st.materialize) for st in _statements(compiled.code)
+        if isinstance(st, TAssign)
+        and isinstance(compiled.types.get(st.name), A.TArray)
+    ]
 
 
 def _compiled(name):
@@ -30,7 +29,7 @@ def _compiled(name):
 
 
 def test_kmeans_marks():
-    assert _array_assigns(_compiled("KMeans").code) == [
+    assert _array_assigns(_compiled("KMeans")) == [
         ("closest", True), ("avg", True), ("C", True),
     ]
 
@@ -38,7 +37,7 @@ def test_kmeans_marks():
 def test_pagerank_marks_edge_count_and_loop_carried():
     # C and P initializations are pure range terms; the first P of the
     # loop body is overwritten in the same iteration
-    assert _array_assigns(_compiled("PageRank").code) == [
+    assert _array_assigns(_compiled("PageRank")) == [
         ("C", False), ("P", False), ("C", True),
         ("Q", True), ("P", False), ("P", True),
     ]
@@ -46,7 +45,7 @@ def test_pagerank_marks_edge_count_and_loop_carried():
 
 def test_matrix_factorization_marks_err_only():
     # err is read by both the P and the Q update; pq only by err
-    assert _array_assigns(_compiled("Matrix Factorization").code) == [
+    assert _array_assigns(_compiled("Matrix Factorization")) == [
         ("pq", False), ("pq", False), ("err", True), ("P", False), ("Q", False),
     ]
 
@@ -57,7 +56,7 @@ def test_matrix_factorization_marks_err_only():
      "Matrix Addition", "Matrix Multiplication"],
 )
 def test_single_pass_programs_unmarked(name):
-    assert not any(m for _, m in _array_assigns(_compiled(name).code))
+    assert not any(m for _, m in _array_assigns(_compiled(name)))
 
 
 @pytest.mark.parametrize(
@@ -79,7 +78,7 @@ def test_later_read_count(use, marked):
         "var k: long = 0; for i = 0, 3 do S[i] += V[i];" + use,
         {"V": A.TArray(1, A.TBasic("double"))},
     )
-    assert _array_assigns(c.code)[0] == ("S", marked)
+    assert _array_assigns(c)[0] == ("S", marked)
 
 
 def _plan(df) -> str:

@@ -1,5 +1,7 @@
 """Optimizer: range elimination (Sec. 3.6), Rules 16/17 (Sec. 4),
-tuple-monoid expansion."""
+tuple-monoid expansion, key self-join and fresh-target elimination."""
+import pytest
+
 from repro.core.comprehension import (
     Agg,
     BinOp,
@@ -12,15 +14,19 @@ from repro.core.comprehension import (
     InRange,
     Merge,
     OuterLookup,
+    PTuple,
+    PVar,
     RangeT,
     StateRef,
     TupleT,
     Var,
 )
 from repro.core.normalize import normalize_code
-from repro.core.optimize import optimize_code
+from repro.core.optimize import _eliminate_self_joins, _statements, optimize_code
 from repro.core.parser import parse
-from repro.core.translate import translate_program
+from repro.core.pipeline import compile_program
+from repro.core.translate import TAssign, TWhile, translate_program
+from repro.programs.suite import BY_NAME, build_envs
 
 
 def compile_to(src):
@@ -172,3 +178,115 @@ def test_argmin_not_expanded():
     comp = _comp(code[0].term)
     val = comp.head.items[-1]
     assert isinstance(val, BinOp) and val.op == "argmin"
+
+
+def _assigns(name):
+    """Every ``TAssign`` of a suite program, loop bodies included."""
+    prog = BY_NAME[name]
+    _, _, types = build_envs(prog, "tiny")
+    code = compile_program(prog.source, types).code
+    return [st for st in _statements(code) if isinstance(st, TAssign)]
+
+
+def _assign(name, array):
+    return next(st for st in _assigns(name) if st.name == array)
+
+
+def _gens_over(comp, array):
+    return [
+        q for q in comp.quals
+        if isinstance(q, Generator) and q.source == StateRef(array)
+    ]
+
+
+def test_kmeans_self_joins_eliminated():
+    assert len(_gens_over(_comp(_assign("KMeans", "avg").term), "P")) == 1
+    assert len(_gens_over(_comp(_assign("KMeans", "C").term), "avg")) == 1
+
+
+@pytest.mark.parametrize(
+    "name,array",
+    [("Word Count", "C"), ("Group-By", "C"), ("Matrix Addition", "R"),
+     ("KMeans", "closest")],
+)
+def test_fresh_target_has_no_merge_or_lookup(name, array):
+    term = _assign(name, array).term
+    assert isinstance(term, Comp)
+    assert not any(isinstance(q, OuterLookup) for q in term.quals)
+
+
+def test_pagerank_loop_assignments_keep_merge():
+    # P is assigned before the loop, so it is not fresh inside it
+    ps = [st for st in _assigns("PageRank") if st.name == "P"]
+    assert len(ps) == 3 and not isinstance(ps[0].term, Merge)
+    assert all(isinstance(st.term, Merge) for st in ps[1:])
+
+
+def test_array_declared_before_loop_not_fresh_inside():
+    code, _ = compile_to(
+        "var R: vector[double] = vector(); var k: long = 0;"
+        "while (k < 2) { k += 1; for i = 0, 2 do R[i] += V[i]; };"
+    )
+    loop = next(st for st in code if isinstance(st, TWhile))
+    r = next(st for st in loop.body if st.name == "R")
+    assert isinstance(r.term, Merge)
+    assert any(isinstance(q, OuterLookup) for q in r.term.new.quals)
+
+
+def test_identity_folded_from_fresh_increments():
+    # d ⊕ e → e: the scalar 0, argmin's None and the tuple-expanded
+    # coalesce(NULL._i, 0) of the dropped lookups all fold away
+    code, _ = compile_to(
+        "var A: vector[(double, long)] = vector();"
+        "var B: vector[double] = vector();"
+        "var C: vector[(long, double)] = vector();"
+        "for i = 0, 9 do { A[K[i]] += (V[i], 1); B[K[i]] += V[i];"
+        " C[K[i]] argmin= (i, V[i]); };"
+    )
+    a, b, c = (st.term for st in code if isinstance(st, TAssign))
+    assert all(isinstance(x, Agg) for x in a.head.items[-1].items)
+    assert isinstance(b.head.items[-1], Agg)
+    assert isinstance(c.head.items[-1], Agg)
+
+
+def test_partial_key_self_join_kept():
+    code, _ = compile_to(
+        "for i = 0, 9 do for j = 0, 9 do for k = 0, 9 do"
+        " R[i, k] += M[i, j] * M[i, k];"
+    )
+    assert len(_gens_over(_comp(code[0].term), "M")) == 2
+
+
+def test_join_of_different_arrays_kept():
+    code, _ = compile_to("for i = 0, 9 do V[i] := A[i] * B[i];")
+    comp = _comp(code[0].term)
+    assert len(_gens_over(comp, "A")) == len(_gens_over(comp, "B")) == 1
+
+
+def test_self_join_after_group_by_kept():
+    # after the group-by, v is a bag of values, not the row's value
+    comp = Comp(
+        TupleT((Var("i"), Var("u"))),
+        (
+            Generator(PTuple((PVar("i"), PVar("v"))), StateRef("A")),
+            GroupByQ(PVar("i"), Var("i")),
+            Generator(PTuple((PVar("j"), PVar("u"))), StateRef("A")),
+            Cond(BinOp("==", Var("j"), Var("i"))),
+        ),
+    )
+    assert _eliminate_self_joins(comp) == comp
+
+
+def test_full_key_self_join_substitutes_value():
+    comp = Comp(
+        TupleT((Var("i"), BinOp("*", Var("v"), Var("u")))),
+        (
+            Generator(PTuple((PVar("i"), PVar("v"))), StateRef("A")),
+            Generator(PTuple((PVar("j"), PVar("u"))), StateRef("A")),
+            Cond(BinOp("==", Var("j"), Var("i"))),
+        ),
+    )
+    assert _eliminate_self_joins(comp) == Comp(
+        TupleT((Var("i"), BinOp("*", Var("v"), Var("v")))),
+        (Generator(PTuple((PVar("i"), PVar("v"))), StateRef("A")),),
+    )

@@ -65,6 +65,6 @@ def test_show_code_marks_materialized_assignments():
     lines = text.splitlines()
     assert lines[0].startswith("init S: ")
     marked = [ln for ln in lines if ln.endswith("[materialize]")]
-    assert len(marked) == 1 and marked[0].startswith("S := ($S <| {")
+    assert len(marked) == 1 and marked[0].startswith("S := {")
     loop = lines.index(next(ln for ln in lines if ln.startswith("while ")))
     assert lines[loop + 1].startswith("  k := ")  # body indented
