@@ -1,4 +1,4 @@
-"""Spark DataFrame backend: executes target code over comprehensions.
+"""Spark DataFrame executor for target code.
 
 State representation:
 
@@ -8,21 +8,22 @@ State representation:
   structs;
 * a scalar variable is a driver-side Python value.
 
-A comprehension is compiled qualifier-by-qualifier into a DataFrame
-plan: array generators become scans, ``range`` generators become
-``spark.range``, equality conditions between two generators' variables
-become equi-join predicates, ``group by`` becomes ``groupBy().agg()``
-with one aggregate per ``⊕/e`` reduction, the outer lookup of rule
-(15a) becomes a left join + ``coalesce`` with the monoid identity, and
-the array merge ``⊲`` becomes a full outer join with ``coalesce``
-(paper: "on Spark, ⊲ can be implemented as a coGroup"). The optimizer
-emits neither ``⊲`` nor the outer lookup for an array still empty from
-its ``TInit`` (fresh-target elimination), so such an assignment is the
+Each comprehension is lowered once by ``plan.lower``; this module only
+interprets the plan. The source and each join's scan are a renamed
+array DataFrame (``toDF``) or ``spark.range``; ``Join`` is an inner
+``join`` on its key equalities and residual predicates, or a
+``crossJoin`` when it has neither; ``Filter`` is ``filter``; ``Let`` is
+``withColumn(s)``; ``GroupBy`` is ``groupBy().agg()`` with one aggregate
+per reduction slot; ``TotalAgg`` is ``agg()`` coalesced with the monoid
+identities; ``Lookup`` is a left join plus ``coalesce`` with its
+default. The driver prefix runs on Python values (``plan.run_prefix``),
+a constant-key lookup there as a filtered ``collect``, and a plan
+without generators evaluates its head on the driver too. The array
+merge ``⊲`` becomes a full outer join with ``coalesce`` (paper: "on
+Spark, ⊲ can be implemented as a coGroup"). The optimizer emits neither
+``⊲`` nor the outer lookup for an array still empty from its ``TInit``
+(fresh-target elimination), so such an assignment is the
 comprehension's plan alone, its columns widened to the declared types.
-
-Conditions are applied as soon as all their variables are in scope
-(filter pushup is semantics-preserving for pure predicates), which also
-lets the Section 3.6 ``inRange`` predicates land on the array scans.
 
 Materialization: plans are lazy and ``run_code`` chains them across
 statements, so an array read by several later statements would be
@@ -39,8 +40,9 @@ plan per iteration; there is no separate end-of-iteration checkpoint.
 """
 from __future__ import annotations
 
+import functools
 import math
-from typing import Optional
+import operator
 
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -48,31 +50,34 @@ from pyspark.sql import types as T
 
 from . import ast as A
 from .comprehension import (
-    Agg,
     BinOp,
     Call,
     Comp,
-    Cond,
     Const,
-    Generator,
-    GroupByQ,
     InRange,
-    LetQ,
     Merge,
-    OuterLookup,
     Proj,
-    PTuple,
-    PVar,
     RangeT,
     StateRef,
     TupleT,
     UnOp,
     Var,
-    free_vars,
-    pat_vars,
     show,
 )
-from .translate import TAssign, TInit, TWhile
+from .plan import (
+    Filter,
+    GroupBy,
+    Join,
+    Let,
+    Lookup,
+    Plan,
+    Scan,
+    TotalAgg,
+    lower,
+    py_term,
+    run_prefix,
+)
+from .translate import _IDENTITY, TAssign, TInit, TWhile
 
 
 class BackendError(Exception):
@@ -172,7 +177,7 @@ def _binop_col(op: str, a, b):
     raise BackendError(f"unknown binary operator {op!r}")
 
 
-def to_col(t, env: dict, agg_map: Optional[dict] = None):
+def to_col(t, env: dict):
     """Compile a comprehension term to a Spark Column."""
     if isinstance(t, Var):
         return F.col(t.name)
@@ -187,30 +192,25 @@ def to_col(t, env: dict, agg_map: Optional[dict] = None):
                 *[F.lit(x).alias(f"_{i + 1}") for i, x in enumerate(v)]
             )
         return F.lit(v)
-    if agg_map is not None and isinstance(t, Agg):
-        key = id(t)
-        if key not in agg_map:
-            raise BackendError(f"unplanned aggregation {show(t)}")
-        return F.col(agg_map[key])
     if isinstance(t, BinOp):
-        return _binop_col(t.op, to_col(t.left, env, agg_map), to_col(t.right, env, agg_map))
+        return _binop_col(t.op, to_col(t.left, env), to_col(t.right, env))
     if isinstance(t, UnOp):
-        c = to_col(t.expr, env, agg_map)
+        c = to_col(t.expr, env)
         return -c if t.op == "-" else ~c
     if isinstance(t, TupleT):
         return F.struct(
-            *[to_col(x, env, agg_map).alias(f"_{i + 1}") for i, x in enumerate(t.items)]
+            *[to_col(x, env).alias(f"_{i + 1}") for i, x in enumerate(t.items)]
         )
     if isinstance(t, Proj):
-        return to_col(t.expr, env, agg_map).getField(t.field)
+        return to_col(t.expr, env).getField(t.field)
     if isinstance(t, Call):
         fn = _CALLS.get(t.fn)
         if fn is None:
             raise BackendError(f"unknown function {t.fn!r}")
-        return fn(*[to_col(a, env, agg_map) for a in t.args])
+        return fn(*[to_col(a, env) for a in t.args])
     if isinstance(t, InRange):
-        c = to_col(t.expr, env, agg_map)
-        return (c >= to_col(t.lo, env, agg_map)) & (c <= to_col(t.hi, env, agg_map))
+        c = to_col(t.expr, env)
+        return (c >= to_col(t.lo, env)) & (c <= to_col(t.hi, env))
     raise BackendError(f"cannot compile term to column: {show(t)}")
 
 
@@ -233,352 +233,6 @@ def _agg_col(monoid: str, col):
     return fn(col)
 
 
-def _collect_aggs(t, out: list) -> None:
-    """Find Agg nodes (not descending into nested comprehensions)."""
-    if isinstance(t, Agg):
-        out.append(t)
-        return
-    if isinstance(t, BinOp):
-        _collect_aggs(t.left, out)
-        _collect_aggs(t.right, out)
-    elif isinstance(t, UnOp):
-        _collect_aggs(t.expr, out)
-    elif isinstance(t, TupleT):
-        for x in t.items:
-            _collect_aggs(x, out)
-    elif isinstance(t, Call):
-        for x in t.args:
-            _collect_aggs(x, out)
-    elif isinstance(t, Proj):
-        _collect_aggs(t.expr, out)
-    elif isinstance(t, InRange):
-        _collect_aggs(t.expr, out)
-        _collect_aggs(t.lo, out)
-        _collect_aggs(t.hi, out)
-
-
-# ---------------------------------------------------- python evaluation
-def py_eval(t, env: dict, bindings: Optional[dict] = None):
-    """Evaluate a generator-free term on the driver. ``Agg(m, e)`` over
-    the empty qualifier list is a reduction of a singleton bag: ``e``.
-    ``bindings`` supplies values for driver-resolved variables (e.g. a
-    constant-key outer lookup)."""
-    if isinstance(t, Var):
-        if bindings is not None and t.name in bindings:
-            return bindings[t.name]
-        raise BackendError(f"unbound variable {t.name} in driver evaluation")
-    if isinstance(t, Const):
-        return t.value
-    if isinstance(t, StateRef):
-        return env[t.name]
-    if isinstance(t, Agg):
-        return py_eval(t.expr, env, bindings)
-    if isinstance(t, BinOp):
-        a = py_eval(t.left, env, bindings)
-        b = py_eval(t.right, env, bindings)
-        return _PY_BIN[t.op](a, b)
-    if isinstance(t, UnOp):
-        v = py_eval(t.expr, env, bindings)
-        return -v if t.op == "-" else not v
-    if isinstance(t, TupleT):
-        return tuple(py_eval(x, env, bindings) for x in t.items)
-    if isinstance(t, Proj):
-        v = py_eval(t.expr, env, bindings)
-        if t.field.lstrip("_").isdigit():
-            return v[int(t.field.lstrip("_")) - 1]
-        return v[t.field]
-    if isinstance(t, Call):
-        return _PY_CALLS[t.fn](*[py_eval(a, env, bindings) for a in t.args])
-    if isinstance(t, InRange):
-        return (
-            py_eval(t.lo, env, bindings)
-            <= py_eval(t.expr, env, bindings)
-            <= py_eval(t.hi, env, bindings)
-        )
-    raise BackendError(f"cannot python-evaluate {show(t)}")
-
-
-def _py_argmin(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a[1] <= b[1] else b
-
-
-_PY_BIN = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-    "%": lambda a, b: a % b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "&&": lambda a, b: a and b,
-    "||": lambda a, b: a or b,
-    "min": min,
-    "max": max,
-    "argmin": _py_argmin,
-}
-_PY_CALLS = {
-    "sqrt": math.sqrt,
-    "abs": abs,
-    "exp": math.exp,
-    "log": math.log,
-    "floor": math.floor,
-    "ceil": math.ceil,
-    "dist2": lambda p, c: (p[0] - c[0]) ** 2 + (p[1] - c[1]) ** 2,
-    "coalesce": lambda a, b: b if a is None else a,
-}
-
-
-# ------------------------------------------------- comprehension compile
-class _Frontier:
-    """DataFrame under construction + the set of bound variable names."""
-
-    def __init__(self):
-        self.df: Optional[DataFrame] = None
-        self.bound: set = set()
-
-
-def _pattern_cols(pat) -> list:
-    names = pat_vars(pat)
-    if not names:
-        raise BackendError("empty pattern")
-    return names
-
-
-def _scan(env, name: str, pat) -> DataFrame:
-    df = env[name]
-    if not isinstance(df, DataFrame):
-        raise BackendError(f"{name} is not an array")
-    names = _pattern_cols(pat)
-    if len(names) != len(df.columns):
-        raise BackendError(
-            f"pattern arity {len(names)} != array {name} arity {len(df.columns)}"
-        )
-    return df.toDF(*names).alias(f"scan_{name}_{id(pat)}")
-
-
-def compile_comp(comp: Comp, env: dict, spark: SparkSession):
-    """Compile a comprehension to either a DataFrame (row per bag
-    element) with columns named after the head's needs, or a driver-side
-    Python value when the comprehension has no generators.
-
-    Returns ``("df", DataFrame, head_term, agg_map)`` or
-    ``("scalar", value)``. The caller shapes the head.
-    """
-    has_gb = any(isinstance(q, GroupByQ) for q in comp.quals)
-    fr = _Frontier()
-    pending: list = []  # unapplied conditions
-    agg_map: dict = {}
-    driver: dict = {}  # bindings resolved on the driver (no generators yet)
-
-    # Hoist variable-bearing, aggregation-free conditions so they are
-    # visible to equi-join detection *before* the generators they
-    # constrain (rule 11c emits index equalities after the array scan;
-    # without hoisting a two-array access would compile to a cross join
-    # plus filter). Pure predicates commute with generators, so this is
-    # semantics-preserving; key-pattern names rebound by a group-by are
-    # bound to the same values pre-group, so key filters commute too.
-    def _hoistable(q):
-        if not isinstance(q, Cond) or not free_vars(q.expr):
-            return False
-        aggs: list = []
-        _collect_aggs(q.expr, aggs)
-        return not aggs
-
-    pending.extend(q.expr for q in comp.quals if _hoistable(q))
-
-    def flush_conds():
-        still = []
-        for c in pending:
-            if free_vars(c) <= fr.bound:
-                fr.df = fr.df.filter(to_col(c, env, agg_map))
-            else:
-                still.append(c)
-        pending[:] = still
-
-    quals = list(comp.quals)
-    i = 0
-    grouped = False
-    while i < len(quals):
-        q = quals[i]
-        i += 1
-        if isinstance(q, Cond):
-            if _hoistable(q):
-                continue  # already hoisted into the pending set
-            if fr.df is None:
-                # generator-free condition: evaluate on the driver
-                if not py_eval(q.expr, env, driver):
-                    return ("scalar-empty", None)
-            else:
-                pending.append(q.expr)
-                flush_conds()
-            continue
-        if isinstance(q, LetQ):
-            if fr.df is None:
-                names = pat_vars(q.pat)
-                v = py_eval(q.expr, env, driver)
-                if len(names) == 1:
-                    driver[names[0]] = v
-                else:
-                    driver.update(zip(names, v))
-                continue
-            names = pat_vars(q.pat)
-            if len(names) == 1:
-                fr.df = fr.df.withColumn(names[0], to_col(q.expr, env, agg_map))
-            else:
-                tmp = to_col(q.expr, env, agg_map)
-                for j, n in enumerate(names):
-                    fr.df = fr.df.withColumn(n, tmp.getField(f"_{j + 1}"))
-            fr.bound |= set(names)
-            flush_conds()
-            continue
-        if isinstance(q, Generator):
-            if isinstance(q.source, StateRef):
-                gdf = _scan(env, q.source.name, q.pat)
-            elif isinstance(q.source, RangeT):
-                lo = py_eval(q.source.lo, env)
-                hi = py_eval(q.source.hi, env)
-                gdf = spark.range(int(lo), int(hi) + 1).toDF(pat_vars(q.pat)[0])
-            else:
-                raise BackendError(f"unnormalized generator source {show(q.source)}")
-            new_vars = set(pat_vars(q.pat))
-            if fr.df is None:
-                fr.df = gdf
-                fr.bound = new_vars
-            else:
-                both = fr.bound | new_vars
-                join_conds, still = [], []
-                for c in pending:
-                    fv = free_vars(c)
-                    if fv <= both and (fv & new_vars):
-                        join_conds.append(c)
-                    else:
-                        still.append(c)
-                pending[:] = still
-                if join_conds:
-                    on = None
-                    for c in join_conds:
-                        col = to_col(c, env, agg_map)
-                        on = col if on is None else (on & col)
-                    fr.df = fr.df.join(gdf, on=on, how="inner")
-                else:
-                    fr.df = fr.df.crossJoin(gdf)
-                fr.bound = both
-            flush_conds()
-            continue
-        if isinstance(q, GroupByQ):
-            if fr.df is None:
-                # generator-free group-by: the bag is a singleton, so
-                # the group key is just the (constant) key value and
-                # every ⊕/e reduces to e (py_eval's Agg rule)
-                key_items = (
-                    list(q.key.items) if isinstance(q.key, TupleT) else [q.key]
-                )
-                for n, k in zip(pat_vars(q.pat), key_items):
-                    driver[n] = py_eval(k, env, driver)
-                continue
-            key_items = (
-                list(q.key.items) if isinstance(q.key, TupleT) else [q.key]
-            )
-            key_names = pat_vars(q.pat)
-            if len(key_items) != len(key_names):
-                raise BackendError("group-by pattern/key arity mismatch")
-            for n, k in zip(key_names, key_items):
-                fr.df = fr.df.withColumn(n, to_col(k, env, agg_map))
-            # aggregations needed downstream
-            aggs: list = []
-            _collect_aggs(comp.head, aggs)
-            for r in quals[i:]:
-                if isinstance(r, Cond):
-                    _collect_aggs(r.expr, aggs)
-                elif isinstance(r, LetQ):
-                    _collect_aggs(r.expr, aggs)
-                elif isinstance(r, OuterLookup):
-                    _collect_aggs(r.key, aggs)
-            agg_exprs = []
-            for a in aggs:
-                nm = f"_agg{len(agg_map)}"
-                if id(a) in agg_map:
-                    continue
-                agg_map[id(a)] = nm
-                agg_exprs.append(
-                    _agg_col(a.monoid, to_col(a.expr, env, None)).alias(nm)
-                )
-            if not agg_exprs:
-                raise BackendError("group-by without any aggregation")
-            fr.df = fr.df.groupBy(*[F.col(n) for n in key_names]).agg(*agg_exprs)
-            fr.bound = set(key_names) | set(agg_map.values())
-            grouped = True
-            flush_conds()
-            continue
-        if isinstance(q, OuterLookup):
-            if fr.df is None:
-                # driver-side lookup by a constant key
-                adf = env[q.array]
-                key_items = (
-                    list(q.key.items) if isinstance(q.key, TupleT) else [q.key]
-                )
-                kvals = [py_eval(k, env, driver) for k in key_items]
-                cond = None
-                for j, kv in enumerate(kvals):
-                    c = F.col(f"_k{j + 1}") == F.lit(kv)
-                    cond = c if cond is None else (cond & c)
-                hit = adf.filter(cond).collect()
-                if hit:
-                    v = hit[0]["_v"]
-                    driver[q.var] = tuple(v) if hasattr(v, "asDict") else v
-                else:
-                    driver[q.var] = (
-                        q.default.value if isinstance(q.default, Const) else None
-                    )
-                continue
-            fr.df = _outer_lookup(fr, q, env, agg_map)
-            fr.bound.add(q.var)
-            flush_conds()
-            continue
-        raise BackendError(f"unknown qualifier {q!r}")
-
-    if pending:
-        raise BackendError(
-            "conditions with unbound variables: "
-            + "; ".join(show(c) for c in pending)
-        )
-
-    if fr.df is None:
-        return ("scalar", py_eval(comp.head, env, driver))
-
-    if not grouped:
-        aggs: list = []
-        _collect_aggs(comp.head, aggs)
-        if aggs:
-            # total aggregation (rule 16 removed a constant-key group-by);
-            # coalesce with the monoid identity so an empty input bag
-            # aggregates to the identity instead of NULL
-            from .translate import _IDENTITY
-
-            agg_exprs = []
-            for a in aggs:
-                if id(a) in agg_map:
-                    continue
-                nm = f"_agg{len(agg_map)}"
-                agg_map[id(a)] = nm
-                c = _agg_col(a.monoid, to_col(a.expr, env, None))
-                ident = _IDENTITY.get(a.monoid)
-                if isinstance(ident, Const) and _needs_identity(ident.value):
-                    c = F.coalesce(c, F.lit(ident.value))
-                agg_exprs.append(c.alias(nm))
-            fr.df = fr.df.agg(*agg_exprs)
-
-    return ("df", fr.df, comp.head, agg_map)
-
-
 def _needs_identity(v) -> bool:
     """Whether a monoid identity must replace NULL (a missing key or an
     empty aggregate). The ``±inf`` of ``min``/``max`` need not: their
@@ -587,28 +241,107 @@ def _needs_identity(v) -> bool:
     return v is not None and not (isinstance(v, float) and math.isinf(v))
 
 
-def _outer_lookup(fr: _Frontier, q: OuterLookup, env: dict, agg_map: dict):
-    adf = env[q.array]
+# ------------------------------------------------------ plan interpreter
+def _scan(scan: Scan, env: dict, spark: SparkSession) -> DataFrame:
+    if isinstance(scan.source, RangeT):
+        lo, hi = (py_term(t, env)({}) for t in (scan.source.lo, scan.source.hi))
+        return spark.range(int(lo), int(hi) + 1).toDF(*scan.names)
+    name = scan.source.name
+    df = env[name]
+    if not isinstance(df, DataFrame):
+        raise BackendError(f"{name} is not an array")
+    if len(scan.names) != len(df.columns):
+        raise BackendError(
+            f"pattern arity {len(scan.names)} != array {name} arity {len(df.columns)}"
+        )
+    return df.toDF(*scan.names)
+
+
+def _and(preds: list):
+    return functools.reduce(operator.and_, preds) if preds else None
+
+
+def _outer_lookup(df: DataFrame, st: Lookup, env: dict) -> DataFrame:
+    """Left join with the array, ``coalesce`` with the default."""
+    adf = env[st.array]
     if not isinstance(adf, DataFrame):
-        raise BackendError(f"{q.array} is not an array")
-    ncols = len(adf.columns)
-    knames = [f"_lk{j}_{q.var}" for j in range(ncols - 1)]
-    vname = f"_lv_{q.var}"
-    adf = adf.toDF(*knames, vname)
-    key_items = list(q.key.items) if isinstance(q.key, TupleT) else [q.key]
-    if len(key_items) != len(knames):
+        raise BackendError(f"{st.array} is not an array")
+    knames = [f"_lk{j}_{st.var}" for j in range(len(adf.columns) - 1)]
+    vname = f"_lv_{st.var}"
+    if len(st.keys) != len(knames):
         raise BackendError("outer-lookup key arity mismatch")
-    on = None
-    for k, kn in zip(key_items, knames):
-        c = to_col(k, env, agg_map) == F.col(kn)
-        on = c if on is None else (on & c)
-    df = fr.df.join(adf, on=on, how="left")
-    default = q.default.value if isinstance(q.default, Const) else None
-    if not _needs_identity(default):
-        df = df.withColumn(q.var, F.col(vname))
+    on = _and([to_col(k, env) == F.col(kn) for k, kn in zip(st.keys, knames)])
+    df = df.join(adf.toDF(*knames, vname), on=on, how="left")
+    if not _needs_identity(st.default):
+        df = df.withColumn(st.var, F.col(vname))
     else:
-        df = df.withColumn(q.var, F.coalesce(F.col(vname), F.lit(default)))
+        df = df.withColumn(st.var, F.coalesce(F.col(vname), F.lit(st.default)))
     return df.drop(vname, *knames)
+
+
+def _total_agg(a, env: dict):
+    """A total aggregate, coalesced with the monoid identity so that an
+    empty input aggregates to the identity instead of NULL."""
+    c = _agg_col(a.monoid, to_col(a.expr, env))
+    ident = _IDENTITY.get(a.monoid)
+    if isinstance(ident, Const) and _needs_identity(ident.value):
+        c = F.coalesce(c, F.lit(ident.value))
+    return c
+
+
+def _step(df: DataFrame, st, env: dict, spark: SparkSession) -> DataFrame:
+    if isinstance(st, Join):
+        other = _scan(st.scan, env, spark)
+        on = _and([to_col(o, env) == to_col(n, env) for o, n in st.keys]
+                  + [to_col(c, env) for c in st.conds])
+        if on is None:
+            return df.crossJoin(other)
+        return df.join(other, on=on, how="inner")
+    if isinstance(st, Filter):
+        return df.filter(to_col(st.expr, env))
+    if isinstance(st, Let):
+        c = to_col(st.expr, env)
+        if len(st.names) == 1:
+            return df.withColumn(st.names[0], c)
+        return df.withColumns(
+            {n: c.getField(f"_{j + 1}") for j, n in enumerate(st.names)}
+        )
+    if isinstance(st, GroupBy):
+        if not st.aggs:
+            raise BackendError("group-by without any aggregation")
+        df = df.withColumns({n: to_col(k, env) for n, k in zip(st.names, st.keys)})
+        return df.groupBy(*st.names).agg(
+            *[_agg_col(a.monoid, to_col(a.expr, env)).alias(s) for s, a in st.aggs]
+        )
+    if isinstance(st, TotalAgg):
+        return df.agg(*[_total_agg(a, env).alias(s) for s, a in st.aggs])
+    if isinstance(st, Lookup):
+        return _outer_lookup(df, st, env)
+    raise BackendError(f"unknown plan step {st!r}")
+
+
+def _lookup(adf: DataFrame, key: tuple, default):
+    """Driver-side read of one array element by a constant key."""
+    hit = adf.filter(
+        _and([F.col(f"_k{j + 1}") == F.lit(k) for j, k in enumerate(key)])
+    ).collect()
+    if not hit:
+        return default
+    v = hit[0]["_v"]
+    return tuple(v) if hasattr(v, "asDict") else v
+
+
+def _rows(plan: Plan, env: dict, spark: SparkSession):
+    """Run a plan: a DataFrame with a column per bound variable; for a
+    plan without generators, the driver row of its prefix, or None when
+    a prefix condition is false."""
+    row = run_prefix(plan.prefix, env, _lookup)
+    if row is None or plan.source is None:
+        return row
+    df = _scan(plan.source, env, spark)
+    for st in plan.steps:
+        df = _step(df, st, env, spark)
+    return df
 
 
 # --------------------------------------------------------- bag results
@@ -620,7 +353,8 @@ def _lit_value(v):
 
 
 def eval_bag_to_array(term, env, spark, ndims: int) -> DataFrame:
-    """Evaluate a bag term into an array DataFrame ``(_k1.._kn, _v)``."""
+    """Evaluate a bag term into an array DataFrame ``(_k1.._kn, _v)``,
+    or None for the empty bag."""
     if isinstance(term, Merge):
         if not isinstance(term.old, StateRef):
             raise BackendError("merge target must be a state array")
@@ -633,28 +367,26 @@ def eval_bag_to_array(term, env, spark, ndims: int) -> DataFrame:
         return env[term.name]
     if not isinstance(term, Comp):
         raise BackendError(f"cannot evaluate bag term {show(term)}")
-    res = compile_comp(term, env, spark)
-    if res[0] == "scalar-empty":
+    plan = lower(term)
+    rows = _rows(plan, env, spark)
+    if rows is None:
         return None
-    if res[0] == "scalar":
+    if not isinstance(rows, DataFrame):
         # generator-free comprehension: a singleton key/value row
-        v = res[1]
+        v = py_term(plan.head, env)(rows)
         if not isinstance(v, tuple) or len(v) != ndims + 1:
             raise BackendError("array assignment produced a scalar")
         cols = [_lit_value(x).alias(f"_k{j + 1}") for j, x in enumerate(v[:-1])]
         cols.append(_lit_value(v[-1]).alias("_v"))
         return spark.range(1).select(*cols)
-    _, df, head, agg_map = res
+    head = plan.head
     if not isinstance(head, TupleT) or len(head.items) != ndims + 1:
         raise BackendError(
             f"array head arity mismatch: {show(head)} for {ndims} dims"
         )
-    cols = [
-        to_col(x, env, agg_map).alias(f"_k{j + 1}")
-        for j, x in enumerate(head.items[:-1])
-    ]
-    cols.append(to_col(head.items[-1], env, agg_map).alias("_v"))
-    return df.select(*cols)
+    cols = [to_col(x, env).alias(f"_k{j + 1}") for j, x in enumerate(head.items[:-1])]
+    cols.append(to_col(head.items[-1], env).alias("_v"))
+    return rows.select(*cols)
 
 
 def _widen_to_declared(df: DataFrame, t: A.TArray) -> DataFrame:
@@ -673,10 +405,7 @@ def merge_arrays(old: DataFrame, new: DataFrame, ndims: int) -> DataFrame:
     """``old ⊲ new``: union preferring ``new`` on key collisions."""
     nnames = [f"_n{j}" for j in range(ndims)] + ["_nv"]
     new = new.toDF(*nnames)
-    on = None
-    for j in range(ndims):
-        c = F.col(f"_k{j + 1}") == F.col(f"_n{j}")
-        on = c if on is None else (on & c)
+    on = _and([F.col(f"_k{j + 1}") == F.col(f"_n{j}") for j in range(ndims)])
     joined = old.join(new, on=on, how="full")
     cols = [
         F.coalesce(F.col(f"_n{j}"), F.col(f"_k{j + 1}")).alias(f"_k{j + 1}")
@@ -690,25 +419,25 @@ def eval_scalar(term, env, spark):
     """Evaluate a bag term expected to hold ≤1 scalar element. Returns
     (present, value): an empty bag leaves the destination unchanged
     (matching the Figure-4 conditional semantics)."""
-    if isinstance(term, Comp):
-        res = compile_comp(term, env, spark)
-        if res[0] == "scalar":
-            return True, res[1]
-        if res[0] == "scalar-empty":
-            return False, None
-        _, df, head, agg_map = res
-        out = df.select(to_col(head, env, agg_map).alias("_v")).collect()
-        if not out:
-            return False, None
-        if len(out) > 1:
-            raise BackendError(
-                f"scalar comprehension yields several rows: {show(term)}"
-            )
-        v = out[0]["_v"]
-        if hasattr(v, "asDict"):  # Row (struct value) → tuple
-            v = tuple(v)
-        return True, v
-    return True, py_eval(term, env)
+    if not isinstance(term, Comp):
+        return True, py_term(term, env)({})
+    plan = lower(term)
+    rows = _rows(plan, env, spark)
+    if rows is None:
+        return False, None
+    if not isinstance(rows, DataFrame):
+        return True, py_term(plan.head, env)(rows)
+    out = rows.select(to_col(plan.head, env).alias("_v")).collect()
+    if not out:
+        return False, None
+    if len(out) > 1:
+        raise BackendError(
+            f"scalar comprehension yields several rows: {show(term)}"
+        )
+    v = out[0]["_v"]
+    if hasattr(v, "asDict"):  # Row (struct value) → tuple
+        v = tuple(v)
+    return True, v
 
 
 # ------------------------------------------------------------ execution

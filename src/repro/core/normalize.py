@@ -38,28 +38,13 @@ from .comprehension import (
     pat_vars,
     subst,
 )
-
-_FOLD = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-    "%": lambda a, b: a % b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "&&": lambda a, b: a and b,
-    "||": lambda a, b: a or b,
-}
+from .plan import BIN
 
 
 def _fold(t):
     """Fold constants in a single term node (children already folded)."""
     if isinstance(t, BinOp) and isinstance(t.left, Const) and isinstance(t.right, Const):
-        fn = _FOLD.get(t.op)
+        fn = BIN.get(t.op)
         if fn is not None and t.left.value is not None and t.right.value is not None:
             try:
                 return Const(fn(t.left.value, t.right.value))

@@ -55,6 +55,7 @@ from .comprehension import (
     subst,
 )
 from .normalize import norm_term
+from .plan import replace_aggs
 from .translate import _IDENTITY, TAssign, TInit, TWhile
 
 
@@ -192,23 +193,6 @@ def _eliminate_self_joins(c: Comp) -> Comp:
     return Comp(head, tuple(quals))
 
 
-def _replace_aggs(t):
-    """Rule 17 helper: ``⊕/e → e`` (groups are singletons)."""
-    if isinstance(t, Agg):
-        return _replace_aggs(t.expr)
-    if isinstance(t, BinOp):
-        return BinOp(t.op, _replace_aggs(t.left), _replace_aggs(t.right))
-    if isinstance(t, UnOp):
-        return UnOp(t.op, _replace_aggs(t.expr))
-    if isinstance(t, TupleT):
-        return TupleT(tuple(_replace_aggs(x) for x in t.items))
-    if isinstance(t, Call):
-        return Call(t.fn, tuple(_replace_aggs(x) for x in t.args))
-    if isinstance(t, Proj):
-        return Proj(_replace_aggs(t.expr), t.field)
-    return t
-
-
 def _groupby_rules(c: Comp) -> Comp:
     quals = list(c.quals)
     for qi, q in enumerate(quals):
@@ -257,23 +241,11 @@ def _groupby_rules(c: Comp) -> Comp:
                 and len(key_vars) == len(idx)
             ):
                 new = pre + [LetQ(q.pat, q.key)] + [
-                    _map_qual_aggs(r) for r in quals[qi + 1:]
+                    replace_aggs(r, None) for r in quals[qi + 1:]
                 ]
-                return Comp(_replace_aggs(c.head), tuple(new))
+                return Comp(replace_aggs(c.head, None), tuple(new))
         break  # at most one group-by per comprehension in our pipeline
     return c
-
-
-def _map_qual_aggs(q):
-    if isinstance(q, Cond):
-        return Cond(_replace_aggs(q.expr))
-    if isinstance(q, LetQ):
-        return LetQ(q.pat, _replace_aggs(q.expr))
-    if isinstance(q, OuterLookup):
-        return OuterLookup(
-            q.var, q.array, _replace_aggs(q.key), _replace_aggs(q.default)
-        )
-    return q
 
 
 def _expand_tuple_monoids(c: Comp) -> Comp:

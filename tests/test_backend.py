@@ -1,10 +1,12 @@
 """Spark DataFrame backend units: each construct in isolation."""
 import pytest
+from pyspark.errors import ArithmeticException
 
 from repro.core import ast as A
 from repro.core.backend import empty_array, merge_arrays, spark_type
 from repro.core.convert import df_to_dict, dict_to_df
 from repro.core.pipeline import compile_program, run_program
+from repro.programs.suite import AVERAGE_SRC
 
 VEC_D = A.TArray(1, A.TBasic("double"))
 VEC_L = A.TArray(1, A.TBasic("long"))
@@ -136,23 +138,23 @@ def test_string_keys(spark):
 
 
 def test_scalar_assign_from_lookup(spark):
-    _, env = run(
+    _, env, seq, lit = _three_engines(
         spark,
         "var x: double = 0.0; x := V[3];",
         {"V": {3: 7.5}},
         {"V": VEC_D},
     )
-    assert env["x"] == 7.5
+    assert env["x"] == seq["x"] == lit["x"] == 7.5
 
 
 def test_scalar_assign_missing_keeps_old(spark):
-    _, env = run(
+    _, env, seq, lit = _three_engines(
         spark,
         "var x: double = 1.25; x := V[99];",
         {"V": {3: 7.5}},
         {"V": VEC_D},
     )
-    assert env["x"] == 1.25
+    assert env["x"] == seq["x"] == lit["x"] == 1.25
 
 
 def test_constant_index_assignment(spark):
@@ -161,8 +163,11 @@ def test_constant_index_assignment(spark):
 
 
 def test_sequential_if_false_is_noop(spark):
-    _, env = run(spark, "var x: long = 3; if (x > 5) x := 0;", {}, {})
-    assert env["x"] == 3
+    # a false guard in the driver prefix: the bag is empty
+    _, env, seq, lit = _three_engines(
+        spark, "var x: long = 3; if (x > 5) x := 0;", {}, {}
+    )
+    assert env["x"] == seq["x"] == lit["x"] == 3
 
 
 def test_while_loop_with_array(spark):
@@ -229,19 +234,25 @@ def test_product_monoid(spark):
 
 
 def test_constant_index_increment(spark):
-    # the paper's Section-4 example: M[1,2] += 1 outside any loop
-    _, env = run(
+    # the paper's Section-4 example: M[1,2] += 1 outside any loop, a
+    # generator-free group-by and a constant-key lookup that hits
+    _, env, seq, lit = _three_engines(
         spark,
         "M[1, 2] += 1.0;",
         {"M": {(1, 2): 5.0, (0, 0): 1.0}},
         {"M": MAT_D},
     )
-    assert df_to_dict(env["M"], 2) == {(1, 2): 6.0, (0, 0): 1.0}
+    want = {(1, 2): 6.0, (0, 0): 1.0}
+    assert df_to_dict(env["M"], 2) == seq["M"] == lit["M"] == want
 
 
 def test_constant_index_increment_missing_key(spark):
-    _, env = run(spark, "M[3, 3] += 2.0;", {"M": {(0, 0): 1.0}}, {"M": MAT_D})
-    assert df_to_dict(env["M"], 2) == {(0, 0): 1.0, (3, 3): 2.0}
+    # the constant-key lookup misses and starts from the identity
+    _, env, seq, lit = _three_engines(
+        spark, "M[3, 3] += 2.0;", {"M": {(0, 0): 1.0}}, {"M": MAT_D}
+    )
+    want = {(0, 0): 1.0, (3, 3): 2.0}
+    assert df_to_dict(env["M"], 2) == seq["M"] == lit["M"] == want
 
 
 def test_scalar_pure_increment(spark):
@@ -334,3 +345,27 @@ def test_constant_division_is_true_division(spark):
     _, env, seq, lit = _three_engines(spark, src, {}, {})
     for engine in (env, seq, lit):
         assert engine["x"] == engine["y"] == 3.5
+
+
+@pytest.mark.parametrize("src, data, types, spark_error", [
+    # Average over an empty V: avg := sum / cnt runs on the driver
+    (AVERAGE_SRC, {"V": {}}, {"V": VEC_D}, ZeroDivisionError),
+    # a row-level division: Spark's ANSI mode fails the query
+    ("var R: vector[double] = vector(); for i = 0, 1 do R[i] := V[i] / W[i];",
+     {"V": {0: 1.0, 1: 2.0}, "W": {0: 4.0, 1: 0.0}}, {"V": VEC_D, "W": VEC_D},
+     ArithmeticException),
+], ids=["driver", "rows"])
+def test_division_by_zero_raises_on_all_engines(spark, src, data, types, spark_error):
+    from repro.core.interp import interpret
+    from repro.core.seq_backend import run_program_seq
+
+    comp = compile_program(src, types)
+    with pytest.raises(spark_error, match="DIVIDE_BY_ZERO|division"):
+        _, env = run(spark, src, data, types)
+        for name, t in comp.types.items():
+            if isinstance(t, A.TArray) and name not in data:
+                df_to_dict(env[name], t.ndims)
+    with pytest.raises(ZeroDivisionError):
+        run_program_seq(comp, data)
+    with pytest.raises(ZeroDivisionError):
+        interpret(src, data)

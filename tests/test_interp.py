@@ -154,3 +154,25 @@ def test_decl_resets_array_inside_while():
         {},
     )
     assert out["A"] == {0: 1}  # reset each iteration, incremented once
+
+
+def test_interp_imports_no_compiler_module():
+    # the interpreter is the independent soundness oracle: it must not
+    # share the planner's tables or any code of what it checks
+    import ast
+
+    import repro.core.interp as interp
+
+    compiler = {"plan", "backend", "seq_backend", "normalize", "optimize"}
+    imported = set()
+    with open(interp.__file__) as f:
+        tree = ast.parse(f.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.update(alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(alias.name for alias in node.names)
+    assert imported, "no imports found"
+    assert not imported & compiler
